@@ -9,7 +9,7 @@ STRICT_TYPED = \
 	src/repro/core/ssdlet.py \
 	src/repro/core/types.py
 
-.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race
+.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race perf perfbench-test
 
 # The full tier-1 suite (what CI runs on every push).
 test:
@@ -19,7 +19,8 @@ test:
 test-fast:
 	$(PYTEST) -q --ignore=tests/integration
 
-# Opt-in fault-injection soak: the long differential sweeps marked `faults`.
+# Only the long fault-injection soaks (tests marked `faults`).  Nothing
+# deselects them, so `make test` and CI's tier-1 run include them too.
 test-faults:
 	$(PYTEST) -q -m faults
 
@@ -42,6 +43,17 @@ sim-throughput:
 # seeds); CI gates tail-amplification drift against the committed copy.
 cluster:
 	PYTHONPATH=src $(PYTHON) -m repro.bench cluster
+
+# The standing host-time benchmark (perfbench/README.md): one workload,
+# untraced, 22 s.  WORKLOAD is one of tpch, scan_mixed, fleet_storm,
+# scan_observed, e.g. `make perf WORKLOAD=fleet_storm SEED=7`.
+SEED ?= 1
+perf:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 22 --trace 0
+
+# Unit tests of the benchmark's tracer (outside the tier-1 testpaths).
+perfbench-test:
+	python3 -m pytest perfbench/test_tracer.py
 
 # Run a serving-layer traffic mix deterministically (override MIX/POLICY,
 # e.g. `make serve MIX=saturation POLICY=wfq`).

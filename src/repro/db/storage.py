@@ -14,6 +14,7 @@ in the paper's join analysis).
 from __future__ import annotations
 
 import struct
+from itertools import groupby
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.catalog import Catalog, TableSchema
@@ -22,9 +23,46 @@ from repro.fs.filesystem import FileSystem, Inode
 __all__ = ["encode_row", "decode_rows", "pack_pages", "TableStorage", "Database"]
 
 _PAGE_HEADER = struct.Struct("<H")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 _LEN = struct.Struct("<H")
+_FIXED = {"int": ("q", int), "date": ("q", int), "float": ("d", float)}
+
+
+class _RowCodec:
+    """One schema's row format, compiled once.
+
+    Each run of consecutive fixed-width columns packs and unpacks as one
+    :class:`struct.Struct`; a string column stays length-prefixed between
+    the runs.  ``steps`` lists, in column order, ``(struct, start, stop,
+    coercions)`` for the fixed run over columns ``start:stop`` and
+    ``(None, index, index + 1, None)`` for the string column at ``index``.
+    """
+
+    __slots__ = ("steps", "unpack_steps")
+
+    def __init__(self, schema: TableSchema):
+        steps: List[Tuple[Optional[struct.Struct], int, int, Any]] = []
+        start = 0
+        for fixed, group in groupby(schema.columns, key=lambda c: c.ctype in _FIXED):
+            columns = list(group)
+            stop = start + len(columns)
+            if fixed:
+                codes, coercions = zip(*(_FIXED[column.ctype] for column in columns))
+                steps.append((struct.Struct("<" + "".join(codes)), start, stop, coercions))
+            else:
+                steps.extend((None, index, index + 1, None) for index in range(start, stop))
+            start = stop
+        self.steps = steps
+        # Decode needs only each run's unpacker and width; None is a string.
+        self.unpack_steps = [None if packer is None else (packer.unpack_from, packer.size)
+                             for packer, _start, _stop, _coercions in steps]
+
+
+def _codec(schema: TableSchema) -> _RowCodec:
+    """The schema's compiled codec, built on first use and kept on it."""
+    codec = schema.__dict__.get("_row_codec")
+    if codec is None:
+        codec = schema.__dict__["_row_codec"] = _RowCodec(schema)
+    return codec
 
 
 def encode_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
@@ -34,16 +72,24 @@ def encode_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
             "%s row has %d values, schema has %d" % (schema.name, len(row), schema.width)
         )
     parts: List[bytes] = []
-    for column, value in zip(schema.columns, row):
-        if column.ctype in ("int", "date"):
-            parts.append(_I64.pack(int(value)))
-        elif column.ctype == "float":
-            parts.append(_F64.pack(float(value)))
-        else:
-            blob = str(value).encode("utf-8")
+    for packer, start, stop, coercions in _codec(schema).steps:
+        if packer is None:
+            blob = str(row[start]).encode("utf-8")
             if len(blob) > 0xFFFF:
                 raise ValueError("string too long for row format")
-            parts.append(_LEN.pack(len(blob)) + blob)
+            parts.append(_LEN.pack(len(blob)))
+            parts.append(blob)
+            continue
+        fields = row[start:stop]
+        try:
+            # struct takes a value as is exactly when int()/float() would
+            # not change its bytes (an int, a float, an int for a double).
+            parts.append(packer.pack(*fields))
+        except struct.error:
+            # A value it rejects (a float in an int column, a numeric
+            # string) is coerced first, raising what the coercion raises.
+            parts.append(packer.pack(*[coerce(value) for coerce, value
+                                       in zip(coercions, fields)]))
     return b"".join(parts)
 
 
@@ -52,23 +98,22 @@ def decode_rows(schema: TableSchema, page: bytes) -> List[Tuple[Any, ...]]:
     if len(page) < _PAGE_HEADER.size:
         return []
     (count,) = _PAGE_HEADER.unpack_from(page, 0)
+    steps = _codec(schema).unpack_steps
+    unpack_len = _LEN.unpack_from
     offset = _PAGE_HEADER.size
     rows: List[Tuple[Any, ...]] = []
     for _ in range(count):
         values: List[Any] = []
-        for column in schema.columns:
-            if column.ctype in ("int", "date"):
-                (value,) = _I64.unpack_from(page, offset)
-                offset += _I64.size
-            elif column.ctype == "float":
-                (value,) = _F64.unpack_from(page, offset)
-                offset += _F64.size
-            else:
-                (length,) = _LEN.unpack_from(page, offset)
+        for step in steps:
+            if step is None:
+                (length,) = unpack_len(page, offset)
                 offset += _LEN.size
-                value = page[offset:offset + length].decode("utf-8")
+                values.append(page[offset:offset + length].decode("utf-8"))
                 offset += length
-            values.append(value)
+            else:
+                unpack, size = step
+                values += unpack(page, offset)
+                offset += size
         rows.append(tuple(values))
     return rows
 

@@ -39,7 +39,11 @@ class SSDConfig:
     logical_page_bytes: int = 4 * KIB  # FTL mapping unit
     physical_page_bytes: int = 16 * KIB  # NAND page (4 logical pages)
     pages_per_block: int = 256  # physical pages per erase block
-    blocks_per_die: int = 64  # small by default; sized up by the FS as needed
+    # Fixed; nothing resizes it.  Default geometry: 16 channels x 4 dies x
+    # 64 blocks x 256 pages of 16 KiB = 16 GiB of FTL-mapped NAND.  The FTL
+    # allocates a block's slot table only when it opens the block, so its
+    # memory grows with the blocks written, not with this figure.
+    blocks_per_die: int = 64
     overprovision_ratio: float = 0.125
 
     # -------------------------------------------------------------- NAND timing

@@ -12,6 +12,10 @@ buffer into an open physical page per die; a page programs when its slots
 fill (or on flush).  GC picks the victim block with the fewest valid slots,
 relocates live data, erases.  Free-block allocation prefers the
 least-erased block (wear leveling).
+
+A block holds its slot table only while it is out of the free pool: the
+table is allocated when the block is opened and dropped when it is erased,
+so FTL memory follows the blocks written, not the device geometry.
 """
 
 from __future__ import annotations
@@ -43,19 +47,20 @@ class PhysAddr(NamedTuple):
 class _Block:
     __slots__ = ("index", "valid", "erase_count", "slots")
 
-    def __init__(self, index: int, pages: int, slots_per_page: int):
+    def __init__(self, index: int):
         self.index = index
         self.valid = 0
         self.erase_count = 0
-        # slots[page][slot] = lpn or None
-        self.slots: List[List[Optional[int]]] = [
-            [None] * slots_per_page for _ in range(pages)
-        ]
+        # slots[page][slot] = lpn or None; empty while the block is free.
+        self.slots: List[List[Optional[int]]] = []
 
-    def wipe(self, pages: int, slots_per_page: int) -> None:
+    def open(self, pages: int, slots_per_page: int) -> None:
+        self.slots = [[None] * slots_per_page for _ in range(pages)]
+
+    def wipe(self) -> None:
         self.valid = 0
         self.erase_count += 1
-        self.slots = [[None] * slots_per_page for _ in range(pages)]
+        self.slots = []
 
 
 class _Die:
@@ -64,10 +69,7 @@ class _Die:
     def __init__(self, channel: int, die: int, config: SSDConfig):
         self.channel = channel
         self.die = die
-        slots = config.logical_pages_per_physical
-        self.blocks = [
-            _Block(i, config.pages_per_block, slots) for i in range(config.blocks_per_die)
-        ]
+        self.blocks = [_Block(i) for i in range(config.blocks_per_die)]
         self.free: deque = deque(self.blocks)
         self.open_block: Optional[_Block] = None
         self.next_page = 0
@@ -192,6 +194,7 @@ class FTL:
         # Wear leveling: pick the least-erased free block.
         best = min(die.free, key=lambda block: block.erase_count)
         die.free.remove(best)
+        best.open(self.config.pages_per_block, self.config.logical_pages_per_physical)
         if self.sim.trace is not None:
             self.sim.trace.instant(
                 "ftl", "alloc-block", self.trace_track, channel=die.channel,
@@ -257,9 +260,11 @@ class FTL:
             yield from self._collect(die, victim)
 
     def _pick_victim(self, die: _Die) -> Optional[_Block]:
+        # A block holds a slot table exactly while it is out of the free
+        # pool, so the table doubles as the O(1) "in use" test.
         candidates = [
             block for block in die.blocks
-            if block is not die.open_block and block not in die.free
+            if block is not die.open_block and block.slots
         ]
         if not candidates:
             return None
@@ -297,7 +302,7 @@ class FTL:
             if event is not None:
                 yield event
         yield from channel.erase()
-        victim.wipe(self.config.pages_per_block, self.config.logical_pages_per_physical)
+        victim.wipe()
         if self.read_cache is not None:
             # Erased media: every cached line over this block is dead.
             self.read_cache.invalidate_physical_range(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.host.platform import System
 from repro.sim.engine import Simulator
 from repro.ssd.config import SSDConfig
 from repro.ssd.ftl import FTL, OutOfSpace, PhysAddr
@@ -97,6 +98,37 @@ def test_gc_reclaims_overwritten_space():
     assert ftl.gc_runs > 0
     for lpn in range(6):
         assert ftl.is_mapped(lpn)
+
+
+def test_default_geometry_allocates_tables_only_for_opened_blocks():
+    system = System()
+    ftl = system.device.ftl
+    blocks = [block for die in ftl._dies for block in die.blocks]
+    assert len(blocks) == 16 * 4 * 64
+    assert not any(block.slots for block in blocks)
+    write(system.sim, ftl, range(100))
+    opened = {(addr.channel, addr.die, addr.block)
+              for addr in map(ftl.translate, range(100))}
+    for die in ftl._dies:
+        for block in die.blocks:
+            key = (die.channel, die.die, block.index)
+            assert bool(block.slots) == (key in opened)
+
+
+def test_gc_erased_victim_gives_back_its_slot_table():
+    sim, config, ftl = make_ftl(channels=1, blocks=4, pages=2)
+    collect = ftl._collect
+    erased = []
+
+    def spy(die, victim):
+        yield from collect(die, victim)
+        erased.append((victim.slots, victim in die.free))
+
+    ftl._collect = spy
+    for _ in range(12):
+        write(sim, ftl, range(6))
+    assert erased
+    assert all(slots == [] and free for slots, free in erased)
 
 
 def test_write_amplification_grows_under_overwrites():

@@ -52,6 +52,11 @@ def check_invariants(ftl, config, live_lpns):
     assert len(seen) == len(set(seen))
     assert set(seen) == live_lpns
 
+    # 4. Free blocks hold no slot table: it is allocated on open and
+    #    released on erase.
+    for die in ftl._dies:
+        assert not any(block.slots for block in die.free)
+
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sustained_random_overwrites_keep_ftl_consistent(seed):
