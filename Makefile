@@ -9,7 +9,7 @@ STRICT_TYPED = \
 	src/repro/core/ssdlet.py \
 	src/repro/core/types.py
 
-.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race perf perfbench-test
+.PHONY: test test-fast test-faults fastpath-check bench serve lint typecheck trace attribute resilience sim-throughput cluster race perf perfbench-test
 
 # The full tier-1 suite (what CI runs on every push).
 test:
@@ -23,6 +23,17 @@ test-fast:
 # deselects them, so `make test` and CI's tier-1 run include them too.
 test-faults:
 	$(PYTEST) -q -m faults
+
+# Every gate on the simulator fast paths in one command: the fused NAND
+# path's unit and differential tests, the quiet-window host read against
+# the per-event path, the 4-way trace matrix and the race goldens.
+fastpath-check:
+	$(PYTEST) -q tests/sim/test_fastpath.py tests/sim/test_fastpath_edges.py \
+		tests/sim/test_quiet_until.py \
+		tests/integration/test_fastpath_differential.py \
+		tests/integration/test_quiet_read_differential.py \
+		tests/instrument/test_trace_matrix.py \
+		tests/integration/test_race_golden.py
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.bench

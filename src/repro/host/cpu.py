@@ -54,23 +54,38 @@ class HostCPU:
         n = self.background_threads
         return 1.0 + self.contention_a * n / (n + self.contention_b)
 
-    # ------------------------------------------------------------------ fibers
-    def occupy(self, duration_us: float, memory_bound: bool = True) -> Generator:
-        """Fiber: hold one host core for ``duration_us`` of work.
+    def work_us(self, duration_us: float, memory_bound: bool = True) -> float:
+        """Core time :meth:`occupy` holds for ``duration_us`` of work.
 
         ``memory_bound`` work is stretched by the contention factor;
-        cache-resident work is not.
+        cache-resident work is not.  Zero means no core is taken at all.
         """
         if duration_us <= 0:
-            return
+            return 0.0
         if memory_bound:
             duration_us *= self.contention_factor()
+        return duration_us
+
+    # ------------------------------------------------------------------ fibers
+    def occupy(self, duration_us: float, memory_bound: bool = True) -> Generator:
+        """Fiber: hold one host core for ``duration_us`` of work (see
+        :meth:`work_us`)."""
+        duration_us = self.work_us(duration_us, memory_bound)
+        if duration_us <= 0:
+            return
         yield self.cores.request()
         try:
             yield self.sim.timeout(us_to_ns(duration_us))
         finally:
             self.cores.release()
         self.busy_us += duration_us
+
+    def settle_work(self, work_us: float) -> None:
+        """Settle a core hold of ``work_us`` (from :meth:`work_us`) that was
+        timed in closed form instead of through :meth:`occupy`."""
+        if work_us > 0:
+            self.cores.backfill_busy(us_to_ns(work_us))
+            self.busy_us += work_us
 
     def scan(self, num_bytes: int) -> Generator:
         """Fiber: scan ``num_bytes`` of data on one core (memory bound)."""

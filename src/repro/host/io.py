@@ -9,10 +9,11 @@ degradation in Table IV.
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator, Optional, Sequence, Tuple
 
 from repro.host.cpu import HostCPU
 from repro.sim.engine import Event, Simulator
+from repro.sim.units import us_to_ns
 from repro.ssd.device import SSDDevice
 
 __all__ = ["HostIO"]
@@ -40,18 +41,31 @@ class HostIO:
         if trace is not None:
             trace.complete("driver", label, self.trace_track, start_ns)
 
+    def _driver_us(self) -> Tuple[float, float]:
+        """(submit, complete) host driver work of one NVMe command."""
+        overhead_us = self.device.config.nvme_command_overhead_us
+        submit_us = overhead_us / 2
+        return submit_us, overhead_us - submit_us
+
     # ------------------------------------------------------------------- read
     def pread_pages(self, lpns: Sequence[int]) -> Generator:
         """Fiber: synchronous host read of logical pages.
+
+        When nothing else can run before the read would finish (see
+        :meth:`_plan_quiet_read`), the whole round trip is one timeout,
+        settled when it fires; otherwise it steps per-event below.
 
         With tracing on, the NVMe command lifecycle is emitted as instants
         (submit → fetch → execute → complete) plus one ``nvme/read`` span
         enveloping the whole round trip — the unit the latency-breakdown
         report decomposes into driver / firmware / NAND / transfer time.
         """
-        config = self.device.config
-        submit_us = config.nvme_command_overhead_us / 2
-        complete_us = config.nvme_command_overhead_us - submit_us
+        quiet = self._plan_quiet_read(lpns)
+        if quiet is not None:
+            yield self.sim.timeout(quiet[0])
+            self._settle_quiet_read(quiet[1])
+            return
+        submit_us, complete_us = self._driver_us()
         trace = self.sim.trace
         cmd_id = trace.next_id() if trace is not None else 0
         start_ns = self.sim.now if trace is not None else 0
@@ -80,6 +94,52 @@ class HostIO:
             trace.complete("nvme", "read", self.trace_track, start_ns,
                            cmd=cmd_id, pages=len(lpns))
 
+    def _plan_quiet_read(
+            self, lpns: Sequence[int]) -> Optional[Tuple[int, tuple]]:
+        """Time a host read in closed form when it runs in a quiet window.
+
+        The quiet window: the read would finish strictly before
+        ``sim.quiet_until()``, so no other event runs (and no ``run()``
+        caller regains control) while it is in flight.  Every resource on
+        the path must grant at once — a free host core, NVMe slot, device
+        core, link and idle channel, none with waiters — so each hold
+        starts the moment the previous one ends and the per-event chain's
+        timing is the sum of its segments.  Tracing and the race monitor
+        need every event, so either one keeps reads per-event.  Returns
+        ``(duration_ns, plan)`` for :meth:`_settle_quiet_read`, or None.
+        """
+        sim = self.sim
+        cpu = self.cpu
+        slots = self.device.interface.queue_slots
+        if (sim.trace is not None or sim.race is not None
+                or not cpu.cores.grantable() or not slots.grantable()):
+            return None
+        lpns = list(lpns)
+        device_read = self.device.plan_quiet_host_read(lpns)
+        if device_read is None:
+            return None
+        submit_us, complete_us = self._driver_us()
+        submit_us = cpu.work_us(submit_us)
+        complete_us = cpu.work_us(complete_us)
+        slot_ns = device_read[0]
+        duration = us_to_ns(submit_us) + slot_ns + us_to_ns(complete_us)
+        if sim.now + duration >= sim.quiet_until():
+            return None
+        return duration, (len(lpns), submit_us, slot_ns, device_read[1],
+                          complete_us)
+
+    def _settle_quiet_read(self, plan: tuple) -> None:
+        """Move every counter and busy integral as the per-event read would
+        have by its completion, in the same order (``cpu.busy_us`` is a
+        float sum)."""
+        pages, submit_us, slot_ns, device_plan, complete_us = plan
+        self.cpu.settle_work(submit_us)
+        self.device.interface.queue_slots.backfill_busy(slot_ns)
+        self.device.settle_quiet_host_read(device_plan)
+        self.cpu.settle_work(complete_us)
+        self.reads += 1
+        self.pages_read += pages
+
     def apread_pages(self, lpns: Sequence[int]) -> Event:
         """Asynchronous host read; returns the completion event."""
         return self.sim.process(self.pread_pages(lpns), name="apread")
@@ -87,9 +147,7 @@ class HostIO:
     # ------------------------------------------------------------------ write
     def pwrite_pages(self, lpns: Sequence[int]) -> Generator:
         """Fiber: synchronous host write of logical pages."""
-        config = self.device.config
-        submit_us = config.nvme_command_overhead_us / 2
-        complete_us = config.nvme_command_overhead_us - submit_us
+        submit_us, complete_us = self._driver_us()
         trace = self.sim.trace
         cmd_id = trace.next_id() if trace is not None else 0
         start_ns = self.sim.now if trace is not None else 0

@@ -141,8 +141,19 @@ class Event:
     def _run_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
         self._processed = True
-        for callback in callbacks or ():
-            callback(self)
+        if callbacks:
+            if len(callbacks) == 1:
+                callbacks[0](self)
+            else:
+                # The later callbacks run at this instant too.
+                sim = self.sim
+                outer = sim._pending_now
+                sim._pending_now = outer + 1
+                try:
+                    for callback in callbacks:
+                        callback(self)
+                finally:
+                    sim._pending_now = outer
         if self._exception is not None and not self.defused and not callbacks:
             raise SimulationError(
                 "unhandled failure of %r" % self
@@ -413,6 +424,14 @@ class Simulator:
         self._now = 0
         self._heap: List[Any] = []
         self._sequence = 0
+        # Nonzero while more work is due at the current instant than the
+        # running callback: the undispatched tail of the same-timestamp
+        # batch (off the heap), later callbacks of the dispatching event,
+        # or the step()/run(until=event) caller regaining control after
+        # this dispatch.  It closes quiet_until()'s window.
+        self._pending_now = 0
+        # Deadline of the run(until=int) in progress, None otherwise.
+        self._deadline: Optional[int] = None
         # Heap entries processed since construction.  Deterministic for a
         # given workload (it counts scheduled events, not wall time), so the
         # throughput bench and the fast-path tests can assert on it.
@@ -489,11 +508,39 @@ class Simulator:
         when, __, event = heapq.heappop(self._heap)
         self._now = when
         self.events_processed += 1
-        event._run_callbacks()
+        self._pending_now = 1  # the caller regains control right after
+        try:
+            event._run_callbacks()
+        finally:
+            self._pending_now = 0
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the heap is empty."""
         return self._heap[0][0] if self._heap else None
+
+    def quiet_until(self) -> float:
+        """Earliest time any entry other than the running one can dispatch.
+
+        An entry scheduled now to fire strictly before this bound is the
+        next one dispatched, and nothing observes the simulation in
+        between: no other event runs and no caller of :meth:`run` or
+        :meth:`step` regains control.  The bound is the current time while
+        anything else is still due at this instant (the rest of the
+        same-timestamp batch, later callbacks of the dispatching event,
+        a ``step()`` or ``run(until=event)`` returning after it), else the
+        heap head, capped at one past the deadline of a
+        ``run(until=int)`` in progress (an entry at the deadline itself
+        still dispatches).  Infinity when nothing is scheduled and no
+        deadline applies.
+        """
+        if self._pending_now:
+            return self._now
+        heap = self._heap
+        bound = heap[0][0] if heap else float("inf")
+        deadline = self._deadline
+        if deadline is not None and deadline < bound:
+            bound = deadline + 1
+        return bound
 
     def _run_batched(self, heap: List[Any]) -> None:
         """Drain the heap, popping all entries of each timestamp together.
@@ -515,14 +562,17 @@ class Simulator:
             batch.append(entry)
             while heap and heap[0][0] == when:
                 batch.append(pop(heap))
+            count = len(batch)
             index = 0
             try:
-                while index < len(batch):
+                while index < count:
                     event = batch[index][2]
                     index += 1
+                    self._pending_now = count - index
                     self.events_processed += 1
                     event._run_callbacks()
             except BaseException:
+                self._pending_now = 0
                 for entry in batch[index:]:
                     heapq.heappush(heap, entry)
                 raise
@@ -557,24 +607,30 @@ class Simulator:
             if reverse:
                 batch.reverse()
             race.begin_batch(when, len(batch), reverse)
+            count = len(batch)
             index = 0
             truncated = False
             try:
-                while index < len(batch):
+                while index < count:
                     if sentinel is not None and sentinel._processed:
                         truncated = True
                         break
                     event = batch[index][2]
                     index += 1
+                    self._pending_now = count - index
+                    if event is sentinel:
+                        self._pending_now += 1
                     self.events_processed += 1
                     race.begin_entry(event)
                     event._run_callbacks()
             except BaseException:
+                self._pending_now = 0
                 for entry in batch[index:]:
                     heapq.heappush(heap, entry)
                 # No end_batch: the partial batch's analysis would be
                 # misleading, and a strict-mode raise would mask the error.
                 raise
+            self._pending_now = 0
             fired = sentinel is not None and sentinel._processed
             race.end_batch(pinned=fired)
             if truncated:
@@ -601,11 +657,17 @@ class Simulator:
             sentinel.defused = True  # run() surfaces the failure itself
             heap = self._heap
             pop = heapq.heappop
-            while heap and not sentinel._processed:
-                when, __, event = pop(heap)
-                self._now = when
-                self.events_processed += 1
-                event._run_callbacks()
+            try:
+                while heap and not sentinel._processed:
+                    when, __, event = pop(heap)
+                    self._now = when
+                    self.events_processed += 1
+                    if event is sentinel:
+                        # run() returns right after this dispatch.
+                        self._pending_now = 1
+                    event._run_callbacks()
+            finally:
+                self._pending_now = 0
             if not sentinel._processed:
                 # The flag only exists to mark run() as the failure's
                 # consumer; when the sentinel never fired, put it back so a
@@ -620,11 +682,15 @@ class Simulator:
             raise ValueError("cannot run until the past")
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= deadline:
-            when, __, event = pop(heap)
-            self._now = when
-            self.events_processed += 1
-            event._run_callbacks()
+        outer, self._deadline = self._deadline, deadline
+        try:
+            while heap and heap[0][0] <= deadline:
+                when, __, event = pop(heap)
+                self._now = when
+                self.events_processed += 1
+                event._run_callbacks()
+        finally:
+            self._deadline = outer
         self._now = deadline
         return None
 
@@ -647,6 +713,10 @@ class Simulator:
         deadline = int(until)
         if deadline < self._now:
             raise ValueError("cannot run until the past")
-        self._run_monitored(self._heap, deadline=deadline)
+        outer, self._deadline = self._deadline, deadline
+        try:
+            self._run_monitored(self._heap, deadline=deadline)
+        finally:
+            self._deadline = outer
         self._now = deadline
         return None

@@ -40,6 +40,15 @@ entry carries the batch's precomputed die/bus busy integrals, deposited via
 ``Resource.backfill_busy`` when the plan settles, which keeps end-of-run
 ``utilization()`` identical to the per-event path; mid-plan sampling can
 lag by at most one in-flight plan window).
+
+The quiet-window host read (``HostIO.pread_pages``) reuses the calculator
+without flying a plan (:meth:`ChannelFastPath.plan_idle`).  Its invariant:
+the read finishes strictly before ``Simulator.quiet_until()``, so no other
+event runs and no caller regains control while it is in flight, and the
+channel is as idle at the read's NAND segment as at the plan.  The
+schedule is therefore the one ``try_fuse`` would compute on an idle pool,
+and :meth:`ChannelFastPath.settle_idle` moves the same counters and busy
+integrals its timer would have.
 """
 
 from __future__ import annotations
@@ -104,33 +113,64 @@ class FusedTimingCalculator:
         key = (rel_die, rel_bus, sense_ns, rate, sizes)
         entry = self._cache.get(key)
         if entry is None:
-            self.cache_misses += 1
-            work = deque(rel_die)
-            bus = rel_bus
-            rel_times: List[Tuple[int, int, int, int]] = []
-            dies_area = 0
-            for size in sizes:
-                start = work.popleft()
-                sense_end = start + sense_ns
-                bus_start = sense_end if sense_end > bus else bus
-                completion = bus_start + transfer_ns(size, rate)
-                bus = completion
-                work.append(completion)
-                rel_times.append((start, sense_end, bus_start, completion))
-                dies_area += completion - start
-            # The bus is held exactly for each transfer, so its integral is
-            # the summed transfer time.
-            bus_area = sum(c - b for (_s0, _s1, b, c) in rel_times)
-            entry = (tuple(rel_times), tuple(work), bus, dies_area, bus_area)
-            if len(self._cache) >= self.CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[key] = entry
+            entry = self._compute(key)
+            self._insert(key, entry)
         else:
             self.cache_hits += 1
         rel_times_out, die_after, bus_after, dies_area, bus_area = entry
         die_free.clear()
         die_free.extend(now + t for t in die_after)
         return rel_times_out, now + bus_after, dies_area, bus_area
+
+    def peek_idle(self, dies: int, sense_ns: int, rate: float,
+                  sizes: Tuple[int, ...]) -> Tuple[tuple, tuple, bool]:
+        """The schedule :meth:`schedule` gives ``sizes`` on an idle pool of
+        ``dies`` dies, without touching the memo or its counters.
+
+        Returns ``(key, entry, hit)``; :meth:`commit` later moves the memo
+        and counters exactly as that :meth:`schedule` call would have.
+        """
+        key = ((0,) * dies, 0, sense_ns, rate, sizes)
+        entry = self._cache.get(key)
+        if entry is None:
+            return key, self._compute(key), False
+        return key, entry, True
+
+    def commit(self, key: tuple, entry: tuple, hit: bool) -> None:
+        """Record a :meth:`peek_idle` lookup as a :meth:`schedule` call."""
+        if hit:
+            self.cache_hits += 1
+        else:
+            self._insert(key, entry)
+
+    def _insert(self, key: tuple, entry: tuple) -> None:
+        self.cache_misses += 1
+        if len(self._cache) >= self.CACHE_LIMIT:
+            self._cache.clear()
+        self._cache[key] = entry
+
+    @staticmethod
+    def _compute(key: tuple) -> tuple:
+        """Relative schedule for ``key``: (rel_times, die_after, bus_after,
+        dies_area, bus_area)."""
+        rel_die, rel_bus, sense_ns, rate, sizes = key
+        work = deque(rel_die)
+        bus = rel_bus
+        rel_times: List[Tuple[int, int, int, int]] = []
+        dies_area = 0
+        for size in sizes:
+            start = work.popleft()
+            sense_end = start + sense_ns
+            bus_start = sense_end if sense_end > bus else bus
+            completion = bus_start + transfer_ns(size, rate)
+            bus = completion
+            work.append(completion)
+            rel_times.append((start, sense_end, bus_start, completion))
+            dies_area += completion - start
+        # The bus is held exactly for each transfer, so its integral is the
+        # summed transfer time.
+        bus_area = sum(c - b for (_s0, _s1, b, c) in rel_times)
+        return (tuple(rel_times), tuple(work), bus, dies_area, bus_area)
 
 
 class _FusedBatch:
@@ -200,13 +240,11 @@ class ChannelFastPath:
         sim = self.sim
         now = sim.now
         if not self._batches:
-            dies, bus = self.dies, self.bus
-            if (dies._in_use or bus._in_use
-                    or dies._waiters or bus._waiters):
+            if not self._pool_idle():
                 return None
             die_free = self._die_free
             die_free.clear()
-            die_free.extend([now] * dies.capacity)
+            die_free.extend([now] * self.dies.capacity)
             self._bus_free = now
         rel_times, self._bus_free, dies_area, bus_area = (
             self.calculator.schedule(now, self._die_free, self._bus_free,
@@ -222,15 +260,53 @@ class ChannelFastPath:
         timer.add_callback(lambda _event, b=batch: self._finalize(b))
         return batch.completion
 
+    def _pool_idle(self) -> bool:
+        """True when no real traffic holds or awaits a die or the bus."""
+        dies, bus = self.dies, self.bus
+        return not (dies._in_use or bus._in_use
+                    or dies._waiters or bus._waiters)
+
     def _finalize(self, batch: _FusedBatch) -> None:
         if batch.done:
             return  # materialized: remnant fibers own the completion now
         batch.done = True
         self._batches.remove(batch)
-        self.dies.backfill_busy(batch.dies_area)
-        self.bus.backfill_busy(batch.bus_area)
-        self._on_complete(batch.total_bytes, len(batch.sizes))
+        self._settle(batch.dies_area, batch.bus_area, batch.total_bytes,
+                     len(batch.sizes))
         batch.completion.succeed()
+
+    def _settle(self, dies_area: int, bus_area: int, nbytes: int,
+                reads: int) -> None:
+        self.dies.backfill_busy(dies_area)
+        self.bus.backfill_busy(bus_area)
+        self._on_complete(nbytes, reads)
+
+    # ---------------------------------------------------------- quiet window
+    def plan_idle(self, sizes: Tuple[int, ...], sense_ns: int,
+                  rate: float) -> Optional[Tuple[int, tuple]]:
+        """Time a batch the way :meth:`try_fuse` would fuse it, flying nothing.
+
+        For a caller that has proved no other event runs before the batch
+        would finish (the quiet-window host read): the channel stays
+        exactly as idle as it is now, so the batch's schedule is the one
+        ``try_fuse`` computes on an idle pool.  Returns ``(duration_ns,
+        plan)``, with ``plan`` for :meth:`settle_idle`, or None when a plan
+        is in flight or real traffic holds or awaits a die or the bus.
+        """
+        if self._batches or not self._pool_idle():
+            return None
+        key, entry, hit = self.calculator.peek_idle(
+            self.dies.capacity, sense_ns, rate, sizes)
+        return entry[0][-1][3], (sizes, key, entry, hit)
+
+    def settle_idle(self, plan: tuple) -> None:
+        """Move every counter and busy integral exactly as the fused batch
+        :meth:`plan_idle` timed would have when its timer fired."""
+        sizes, key, entry, hit = plan
+        self.calculator.commit(key, entry, hit)
+        self.fused_batches += 1
+        self.fused_pages += len(sizes)
+        self._settle(entry[3], entry[4], sum(sizes), len(sizes))
 
     # -------------------------------------------------------------- de-fusion
     def materialize(self) -> None:

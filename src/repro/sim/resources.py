@@ -43,6 +43,10 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
+    def grantable(self) -> bool:
+        """True when a one-unit request made now would be granted at once."""
+        return not self._waiters and self._in_use < self.capacity
+
     def request(self, units: int = 1) -> Event:
         if units < 1 or units > self.capacity:
             raise ValueError(
@@ -115,10 +119,11 @@ class Resource:
     def backfill_busy(self, area: int) -> None:
         """Credit ``area`` unit·ns of held capacity retroactively.
 
-        The fused NAND fast path (:mod:`repro.sim.fastpath`) holds no real
-        units while a plan is in flight; when the plan settles it deposits
-        the exact busy integral its ops would have accrued, keeping
-        :meth:`utilization` identical to the per-event path at settle points.
+        The fused NAND fast path and the quiet-window host read
+        (:mod:`repro.sim.fastpath`) hold no real units while in flight;
+        when they settle they deposit the exact busy integral their holds
+        would have accrued, keeping :meth:`utilization` identical to the
+        per-event path at settle points.
         """
         self._busy_area += area
 

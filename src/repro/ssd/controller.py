@@ -294,11 +294,8 @@ class Controller:
         stripes = self._group_stripes(lpns)
         # Command/page accounting happens before dispatch so reads that die
         # with UncorrectableReadError are still visible in the stats.
-        self.stats.read_commands += 1
+        self._count_read(lpns, stripes)
         self.inflight_commands += 1
-        self.stats.logical_pages_read += (
-            len(lpns) if isinstance(lpns, range)  # ranges hold no duplicates
-            else sum(len(s.lpns) for s in stripes))
         if use_matcher:
             self.stats.matcher_commands += 1
             # A matcher-engaged read is a streaming scan by construction:
@@ -337,13 +334,66 @@ class Controller:
                            cmd=cmd_id, pages=len(lpns), stripes=len(stripes),
                            matcher=use_matcher)
 
-    def _read_batch(self, batch: List[Stripe], use_matcher: bool,
-                    cache_bypass: bool) -> Generator:
-        """Fiber: one channel command covering a run of adjacent stripes."""
+    def _count_read(self, lpns: Sequence[int], stripes: List[Stripe]) -> None:
+        self.stats.read_commands += 1
+        self.stats.logical_pages_read += (
+            len(lpns) if isinstance(lpns, range)  # ranges hold no duplicates
+            else sum(len(s.lpns) for s in stripes))
+
+    def _dispatch_us(self, batch: List[Stripe], use_matcher: bool) -> float:
+        """Device-core time to dispatch one channel command."""
         dispatch_us = self.STRIPE_DISPATCH_US
         if use_matcher:
             dispatch_us += self.config.matcher_control_us_per_stripe * len(batch)
-        yield from self._occupy_core(dispatch_us, label="dispatch")
+        return dispatch_us
+
+    # ------------------------------------------------------- quiet window
+    def plan_quiet_read(self, lpns: List[int]) -> Optional[Tuple[int, tuple]]:
+        """Closed-form timing of ``read_pages(lpns)`` for a quiet window.
+
+        For the quiet-window host read, whose caller proves no other event
+        runs until the read is done, so every hold below is granted at once
+        and the channel is still idle when the command reaches it.
+        Eligible: the fast path is on, the read cache is off, the pages
+        fall in one stripe, a device core is free, and the stripe's
+        channel would fuse the read onto an idle pool
+        (:meth:`Channel.plan_quiet_read`).  Returns ``(duration_ns, plan)``
+        for :meth:`settle_quiet_read`, or None (read per-event).
+        """
+        config = self.config
+        cache = self.cache
+        if (not config.sim_fast_path or not lpns
+                or (cache is not None and cache.enabled)
+                or not self.cores.grantable()):
+            return None
+        stripes = self._group_stripes(lpns)
+        if len(stripes) != 1:
+            return None
+        channel = self.nand[stripes[0].channel]
+        nand = channel.plan_quiet_read(
+            len(stripes[0].lpns) * config.logical_page_bytes)
+        if nand is None:
+            return None
+        # The firmware and dispatch holds of _occupy_core, back to back.
+        core_ns = sum(us_to_ns(us) for us in (
+            config.firmware_read_overhead_us,
+            self._dispatch_us(stripes, use_matcher=False)) if us > 0)
+        return core_ns + nand[0], (lpns, stripes, channel, core_ns, nand[1])
+
+    def settle_quiet_read(self, plan: tuple) -> None:
+        """Move every counter and busy integral as ``read_pages`` would."""
+        lpns, stripes, channel, core_ns, nand_plan = plan
+        self._count_read(lpns, stripes)
+        self.cores.backfill_busy(core_ns)
+        channel.fastpath.settle_idle(nand_plan)
+        self.stats.fused_commands += 1
+        self.stats.fused_stripes += 1
+
+    def _read_batch(self, batch: List[Stripe], use_matcher: bool,
+                    cache_bypass: bool) -> Generator:
+        """Fiber: one channel command covering a run of adjacent stripes."""
+        yield from self._occupy_core(self._dispatch_us(batch, use_matcher),
+                                     label="dispatch")
         channel = self.nand[batch[0].channel]
         cache = self.cache
         caching = cache is not None and cache.enabled and not cache_bypass

@@ -9,7 +9,7 @@ above the block interface.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
@@ -104,6 +104,32 @@ class SSDDevice:
         yield from self.controller.read_pages(lpns)
         total = len(lpns) * self.config.logical_page_bytes
         yield from self.interface.transfer_to_host(total)
+
+    def plan_quiet_host_read(
+            self, lpns: List[int]) -> Optional[Tuple[int, tuple]]:
+        """Closed-form timing of :meth:`host_read` for a quiet window.
+
+        For the quiet-window host read
+        (:meth:`repro.host.io.HostIO.pread_pages`), whose caller proves no
+        other event runs until the read is done.  Needs an unswitched, free
+        link and an eligible controller read
+        (:meth:`Controller.plan_quiet_read`).  Returns ``(duration_ns,
+        plan)`` for :meth:`settle_quiet_host_read`, or None.
+        """
+        interface = self.interface
+        if interface.fabric is not None or not interface.link.grantable():
+            return None
+        read = self.controller.plan_quiet_read(lpns)
+        if read is None:
+            return None
+        num_bytes = len(lpns) * self.config.logical_page_bytes
+        return read[0] + interface.link_ns(num_bytes), (read[1], num_bytes)
+
+    def settle_quiet_host_read(self, plan: tuple) -> None:
+        """Move every counter and busy integral as :meth:`host_read` would."""
+        read_plan, num_bytes = plan
+        self.controller.settle_quiet_read(read_plan)
+        self.interface.settle_quiet_transfer_to_host(num_bytes)
 
     def host_write(self, lpns: Sequence[int]) -> Generator:
         """Fiber: device-side portion of a host write (PCIe in + program)."""

@@ -83,6 +83,21 @@ class Channel:
         return self.fastpath.try_fuse(sizes, us_to_ns(config.nand_read_us),
                                       config.channel_bytes_per_sec)
 
+    def plan_quiet_read(
+            self, transfer_bytes: int) -> Optional[Tuple[int, tuple]]:
+        """Closed-form timing of one clean page read fused onto this idle
+        channel, for a caller that proved no other event runs meanwhile.
+
+        Returns ``(duration_ns, plan)`` for ``fastpath.settle_idle``, or
+        None when an injector is attached or the channel is not idle.
+        """
+        if self.injector is not None:
+            return None
+        config = self.config
+        return self.fastpath.plan_idle((transfer_bytes,),
+                                       us_to_ns(config.nand_read_us),
+                                       config.channel_bytes_per_sec)
+
     def read(self, transfer_bytes: int,
              physical_page: Optional[int] = None,
              fault: Any = FAULT_NOT_DRAWN,

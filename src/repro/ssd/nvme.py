@@ -116,12 +116,24 @@ class HostInterface:
         ]
         yield all_of(self.sim, hops)
 
+    def link_ns(self, num_bytes: int) -> int:
+        """Time ``num_bytes`` hold the device link."""
+        return transfer_ns(num_bytes, self.config.pcie_bytes_per_sec)
+
     def _link_hop(self, num_bytes: int) -> Generator:
         yield self.link.request()
         try:
-            yield self.sim.timeout(transfer_ns(num_bytes, self.config.pcie_bytes_per_sec))
+            yield self.sim.timeout(self.link_ns(num_bytes))
         finally:
             self.link.release()
+
+    def settle_quiet_transfer_to_host(self, num_bytes: int) -> None:
+        """Account a device→host transfer of ``num_bytes`` > 0 over an
+        unswitched link that was timed in closed form (the quiet-window
+        host read) instead of through :meth:`transfer_to_host`."""
+        self.commands += 1
+        self.link.backfill_busy(self.link_ns(num_bytes))
+        self.bytes_to_host += num_bytes
 
     def utilization(self) -> float:
         return self.link.utilization()
